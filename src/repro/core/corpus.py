@@ -16,7 +16,9 @@ real subsystem:
   stay fully deterministic and replay capture stays bit-faithful.
 * **Persistence** — optional ``persist_dir``: one versioned JSON file
   per retained seed, named by content digest, written atomically
-  (tempfile + ``os.replace``) so parallel workers can share a corpus
+  (tmp + fsync + ``os.replace`` + directory fsync, via
+  :func:`~repro.core.session.atomic_write_json`) so a seed survives
+  power loss and parallel workers can share a corpus
   directory, and loaded on start for resumable runs.
 
 The engine delegates the whole seed-tier list dance here
@@ -29,6 +31,8 @@ and re-seeds retried workers from it.
 import hashlib
 import json
 import os
+
+from .session import atomic_write_json
 
 #: Bump when the per-seed JSON layout changes; files with another
 #: version are skipped at load (never deleted).
@@ -411,13 +415,9 @@ class Corpus:
         if not self.persist_dir:
             return
         os.makedirs(self.persist_dir, exist_ok=True)
-        path = os.path.join(self.persist_dir, entry.digest + ".json")
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            json.dump(entry.to_jsonable(), handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        atomic_write_json(
+            os.path.join(self.persist_dir, entry.digest + ".json"),
+            entry.to_jsonable())
         self._count("corpus.saved")
 
     # ------------------------------------------------------------------

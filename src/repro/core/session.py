@@ -23,7 +23,8 @@ from the same primitives the tool tests targets for:
                          the pending-validation index. Written tmp →
                          fsync → ``os.replace`` → directory fsync, so a
                          crash mid-write can never corrupt the previous
-                         committed checkpoint.
+                         committed checkpoint. Compact JSON, so the C
+                         encoder writes it (see :func:`_dumps`).
     ``images/``          content-addressed crash images (one file per
                          unique digest), written atomically; checkpoint
                          records reference images by digest so an image
@@ -31,6 +32,10 @@ from the same primitives the tool tests targets for:
     ``corpus/``          digest-named JSON mirror of the merged seed
                          corpus (same format as ``--corpus-dir``), kept
                          in sync at every checkpoint.
+
+Images and corpus entries never change once written, so the session
+remembers which ones it has made durable and a per-unit checkpoint
+writes (and stats) only the new ones.
 
 **Ordering discipline**: the checkpoint (which embeds the keys of every
 unit it contains) is written *before* the unit's journal line. A crash
@@ -58,7 +63,7 @@ from ..detect.records import (
     SyncInconsistencyRecord,
     Verdict,
 )
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import CorruptLineError, NULL_TRACER, read_jsonl
 
 #: Bump when the manifest / journal / checkpoint layout changes; a
 #: session written by another version refuses to resume.
@@ -197,35 +202,57 @@ def fsync_dir(path):
         os.close(fd)
 
 
+def _unlink_quietly(path):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _dumps(payload):
+    """Key-sorted JSON with no whitespace. Any ``indent`` makes CPython
+    fall back from the C encoder to the pure-Python one, which costs a
+    per-unit checkpoint several times over, so every machine-read
+    session file is written this way."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def atomic_write_text(path, text, fault=NULL_FAULTS, point="atomic_write"):
-    """Write ``text`` to ``path`` via tmp + fsync + ``os.replace``.
+    """Write ``text`` (``str``, or ``bytes`` in binary mode) to ``path``
+    via tmp + fsync + ``os.replace`` + directory fsync.
 
     A crash (real or injected) at any instant leaves either the old
     complete file or the new complete file at ``path`` — never a torn
     mix. The fault injector's ``torn`` action freezes a half-written
-    *tmp* file, which is exactly what a real crash mid-write leaves.
+    *tmp* file, which is exactly what a real crash mid-write leaves; a
+    real ``OSError`` (``ENOSPC``) unlinks the tmp file before it
+    propagates, so a run that outlives the error leaks nothing.
     """
     action = fault.check(point) if fault else None
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as handle:
-        if action == "torn":
-            handle.write(text[: len(text) // 2])
+    mode = "wb" if isinstance(text, (bytes, bytearray)) else "w"
+    try:
+        with open(tmp, mode) as handle:
+            if action == "torn":
+                handle.write(text[: len(text) // 2])
+                handle.flush()
+                os.fsync(handle.fileno())
+                raise InjectedFault("injected torn write at %s" % point)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-            raise InjectedFault("injected torn write at %s" % point)
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+        os.replace(tmp, path)
+    except OSError:
+        _unlink_quietly(tmp)
+        raise
     fsync_dir(os.path.dirname(path) or ".")
     return path
 
 
 def atomic_write_json(path, payload, fault=NULL_FAULTS,
                       point="atomic_write"):
-    return atomic_write_text(
-        path, json.dumps(payload, sort_keys=True, indent=1) + "\n",
-        fault=fault, point=point)
+    return atomic_write_text(path, _dumps(payload) + "\n",
+                             fault=fault, point=point)
 
 
 def append_jsonl(path, record, fault=NULL_FAULTS, point="journal_append"):
@@ -233,7 +260,7 @@ def append_jsonl(path, record, fault=NULL_FAULTS, point="journal_append"):
     the line with no newline — the torn tail :func:`read_journal`
     must (and does) tolerate."""
     action = fault.check(point) if fault else None
-    line = json.dumps(record, sort_keys=True)
+    line = _dumps(record)
     with open(path, "a") as handle:
         if action == "torn":
             handle.write(line[: max(1, len(line) // 2)])
@@ -253,29 +280,14 @@ def read_journal(path):
     Torn lines anywhere else mean the file was corrupted by something
     other than an append crash and raise :class:`SessionError`.
     """
-    records, torn = [], 0
     if not os.path.exists(path):
-        return records, torn
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    # A well-formed journal ends with "\n", so split leaves a final "".
-    tail = len(lines) - 1
-    while tail >= 0 and not lines[tail].strip():
-        tail -= 1
-    for number, line in enumerate(lines[: tail + 1]):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if number == tail:
-                torn += 1
-            else:
-                raise SessionError(
-                    "%s:%d: corrupt journal line (not a torn tail)"
-                    % (path, number + 1))
-    return records, torn
+        return [], 0
+    try:
+        records, torn = read_jsonl(path)
+    except CorruptLineError as exc:
+        raise SessionError("%s:%d: corrupt journal line (not a torn tail)"
+                           % (path, exc.lineno))
+    return records, int(torn is not None)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +305,9 @@ class ImageStore:
     def __init__(self, directory, fault=NULL_FAULTS):
         self.directory = directory
         self.fault = fault
+        #: Refs known to be durable, so a per-unit checkpoint writes (and
+        #: stats) only the images that are new since the last one.
+        self._durable = set()
 
     def _path(self, ref):
         return os.path.join(self.directory, ref + ".bin")
@@ -305,23 +320,14 @@ class ImageStore:
     def put(self, image):
         """Store ``image`` (idempotent); returns its reference string."""
         ref = self.ref_for(image)
-        path = self._path(ref)
-        if os.path.exists(path):
+        if ref in self._durable:
             return ref
-        os.makedirs(self.directory, exist_ok=True)
-        action = self.fault.check("image_write") if self.fault else None
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            if action == "torn":
-                handle.write(bytes(image)[: len(image) // 2])
-                handle.flush()
-                os.fsync(handle.fileno())
-                raise InjectedFault("injected torn image write")
-            handle.write(bytes(image))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        fsync_dir(self.directory)
+        path = self._path(ref)
+        if not os.path.exists(path):
+            os.makedirs(self.directory, exist_ok=True)
+            atomic_write_text(path, bytes(image), fault=self.fault,
+                              point="image_write")
+        self._durable.add(ref)
         return ref
 
     def get(self, ref):
@@ -604,6 +610,8 @@ class Session:
         self.checkpoints_written = 0
         self._journal = []
         self._checkpoint_units = []
+        #: Corpus digests already mirrored under ``corpus/``.
+        self._mirrored = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -772,17 +780,20 @@ class Session:
 
     def _sync_corpus_dir(self, result):
         """Mirror the merged corpus as digest-named JSON files (the
-        ``--corpus-dir`` format), written atomically."""
+        ``--corpus-dir`` format), written atomically; entries already
+        mirrored by this session are skipped without a stat."""
         if not result.corpus_seeds:
             return
         os.makedirs(self.corpus_dir, exist_ok=True)
         for entry in result.corpus_seeds:
-            path = os.path.join(self.corpus_dir,
-                                entry["digest"] + ".json")
-            if os.path.exists(path):
+            digest = entry["digest"]
+            if digest in self._mirrored:
                 continue
-            atomic_write_json(path, entry, fault=self.fault,
-                              point="corpus_write")
+            path = os.path.join(self.corpus_dir, digest + ".json")
+            if not os.path.exists(path):
+                atomic_write_json(path, entry, fault=self.fault,
+                                  point="corpus_write")
+            self._mirrored.add(digest)
 
     # ------------------------------------------------------------------
     # resume-side validation

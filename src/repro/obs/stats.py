@@ -7,44 +7,7 @@ argues with: coverage growth, candidate discovery rate, and validation
 verdict ratios.
 """
 
-import json
-
-from .tracer import EVENT_TYPES, SCHEMA_VERSION, validate_record
-
-
-def _load_lines(path, torn_counter=None):
-    """Yield JSONL records; tolerate a torn *tail* line.
-
-    A file whose final line is half-written is the normal state of a
-    ``--trace-out``/``--metrics-out`` sink after SIGKILL — the process
-    died mid-append.  Such tail lines are counted into ``torn_counter``
-    (a one-element list) and skipped, *provided* at least one record
-    decoded before them; a file that yields nothing but garbage is still
-    an error, not a torn trace.
-    """
-    decoded = 0
-    pending = None  # (number, exc) of a bad line awaiting a successor
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if pending is not None:
-                # The bad line has well-formed lines after it: not a
-                # torn tail, genuinely corrupt.
-                raise ValueError("%s:%d: not JSON: %s" % pending)
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                pending = (path, number, exc)
-                continue
-            decoded += 1
-            yield record
-    if pending is not None:
-        if not decoded:
-            raise ValueError("%s:%d: not JSON: %s" % pending)
-        if torn_counter is not None:
-            torn_counter[0] += 1
+from .tracer import EVENT_TYPES, SCHEMA_VERSION, read_jsonl, validate_record
 
 
 def summarize_records(records):
@@ -143,9 +106,11 @@ def summarize_path(path):
     skipped and surfaced as ``torn_lines`` in the summary instead of
     failing the whole summarization.
     """
-    torn = [0]
-    summary = summarize_records(_load_lines(path, torn_counter=torn))
-    summary["torn_lines"] = torn[0]
+    records, torn = read_jsonl(path)
+    if torn is not None and not records:
+        raise torn  # nothing but garbage: not a torn trace
+    summary = summarize_records(records)
+    summary["torn_lines"] = int(torn is not None)
     return summary
 
 

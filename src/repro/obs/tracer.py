@@ -207,6 +207,38 @@ def validate_record(record):
     return record
 
 
+class CorruptLineError(ValueError):
+    """A JSONL line that does not decode, with decodable lines after it."""
+
+    def __init__(self, path, lineno, exc):
+        super().__init__("%s:%d: not JSON: %s" % (path, lineno, exc))
+        self.lineno = lineno
+
+
+def read_jsonl(path):
+    """Decode an append-written JSONL file; returns ``(records, torn)``.
+
+    ``torn`` is None, or the :class:`CorruptLineError` of an undecodable
+    *last* line — the normal state of an appended file whose writer was
+    SIGKILLed mid-append — which is skipped. An undecodable line with
+    records after it is genuine corruption and raises. Blank lines are
+    ignored. Callers decide what a torn tail means to them.
+    """
+    records, bad = [], None
+    with open(path) as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if bad is not None:
+                raise bad
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                bad = CorruptLineError(path, number, exc)
+    return records, bad
+
+
 def read_trace(source, validate=True):
     """Yield records from a JSONL trace path or iterable of lines."""
     if isinstance(source, str):

@@ -19,6 +19,18 @@ suffices and each hand-off costs one futex wake plus one futex wait,
 without the Condition machinery of ``threading.Event``. Because at most
 one thread is runnable, state mutations are serialized by construction; a
 small lock protects the pieces the driver thread reads concurrently.
+
+On Linux every simulated thread runs under ``SCHED_BATCH`` (set once, on
+the thread, before its first park; the thread calling :meth:`run` keeps
+its policy). Under the default policy the futex wake in
+``nxt._go.release()`` lets the kernel preempt the releasing thread in
+favour of the woken one when both share a CPU — but the releaser still
+holds the GIL, so the woken thread can only block on the GIL and switch
+straight back: two context switches per handoff instead of one. Batch
+threads never preempt on wake-up. Execution is serialized, so the choice
+has nothing to tune and no effect on the interleaving; it only pays when
+the threads share a CPU (a pinned process), and is a no-op where the call
+is refused.
 """
 
 import threading

@@ -1,6 +1,7 @@
 """Simulated threads managed by the cooperative scheduler."""
 
 import enum
+import os
 import threading
 
 
@@ -16,6 +17,21 @@ class ThreadKilled(BaseException):
     Derives from ``BaseException`` so target code catching ``Exception``
     cannot swallow it.
     """
+
+
+def _batch_scheduling():
+    """Put the calling OS thread under ``SCHED_BATCH`` (Linux).
+
+    A batch thread woken by a lock release does not preempt the thread
+    that released it. The releaser still holds the GIL at that moment,
+    so a preempted releaser only makes the woken thread block on the
+    GIL and switch straight back: see :mod:`repro.runtime.scheduler`.
+    A no-op where the call is missing or refused.
+    """
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
 
 
 class SimThread:
@@ -56,6 +72,7 @@ class SimThread:
 
     def _bootstrap(self):
         sched = self.scheduler
+        _batch_scheduling()  # once, before the first park
         sched._enter_thread(self)
         try:
             self.fn()

@@ -189,6 +189,21 @@ class TestPersistence:
         assert (loaded.campaigns, loaded.new_branch, loaded.new_alias,
                 loaded.inconsistencies) == (3, 5, 2, 1)
 
+    def test_persist_is_durable(self, tmp_path, monkeypatch):
+        """A persisted seed is fsync'd, renamed into place, and its
+        directory fsync'd, so it survives power loss."""
+        from repro.core import session as session_module
+        synced, dirs = [], []
+        real_fsync, real_fsync_dir = os.fsync, session_module.fsync_dir
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        monkeypatch.setattr(session_module, "fsync_dir",
+                            lambda path: dirs.append(path)
+                            or real_fsync_dir(path))
+        entry = Corpus(persist_dir=str(tmp_path)).add_initial(make_seed())
+        assert synced and dirs == [str(tmp_path)]
+        assert os.listdir(str(tmp_path)) == [entry.digest + ".json"]
+
     def test_load_skips_tampered_file(self, tmp_path):
         corpus = Corpus(persist_dir=str(tmp_path))
         corpus.add_initial(make_seed())

@@ -7,12 +7,15 @@ deterministic unit tests, not chaos lottery (the subprocess chaos lives
 in ``tests/integration/test_chaos_recovery.py``).
 """
 
+import errno
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from repro.core import PMRaceConfig
+from repro.core import session as session_module
 from repro.core.session import (
     FAULT_ENV,
     FaultInjector,
@@ -22,12 +25,14 @@ from repro.core.session import (
     SessionError,
     append_jsonl,
     atomic_write_json,
+    atomic_write_text,
     read_journal,
     result_fingerprint,
     result_from_doc,
     result_to_doc,
     run_fuzz_session,
 )
+from repro.detect.records import Verdict
 
 
 def small_config(**overrides):
@@ -306,3 +311,159 @@ class TestFaultContainment:
         # Nothing re-ran: campaigns did not double.
         assert again.campaigns == first.campaigns
         assert result_fingerprint(again) == result_fingerprint(first)
+
+
+def _tmp_leftovers(root):
+    return [os.path.join(path, name)
+            for path, _dirs, names in os.walk(str(root))
+            for name in names if ".tmp." in name]
+
+
+def _raise_enospc(_fd):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestRealWriteErrors:
+    """A real ``OSError`` in a write or fsync (not an injected ``torn``
+    crash) must not leave ``<path>.tmp.<pid>`` behind."""
+
+    def test_enospc_on_checkpoint_fsync_leaks_nothing(self, tmp_path,
+                                                      monkeypatch):
+        session, result = run_session(tmp_path)
+        with open(session.checkpoint_path, "rb") as handle:
+            committed = handle.read()
+        errors = session.write_errors
+        monkeypatch.setattr(os, "fsync", _raise_enospc)
+        assert not session.write_checkpoint(result, {0, 1}, final=False,
+                                            interrupted=2)
+        monkeypatch.undo()
+        assert session.write_errors == errors + 1 == 1
+        assert _tmp_leftovers(tmp_path) == []
+        with open(session.checkpoint_path, "rb") as handle:
+            assert handle.read() == committed
+
+    def test_enospc_on_image_write_leaks_nothing(self, tmp_path,
+                                                 monkeypatch):
+        store = ImageStore(str(tmp_path / "images"))
+        monkeypatch.setattr(os, "fsync", _raise_enospc)
+        with pytest.raises(OSError):
+            store.put(bytearray(b"image bytes"))
+        monkeypatch.undo()
+        assert _tmp_leftovers(tmp_path) == []
+        # Nothing was remembered as durable: the next put writes it.
+        ref = store.put(bytearray(b"image bytes"))
+        assert store.get(ref) == bytearray(b"image bytes")
+
+    def test_injected_torn_write_keeps_its_tmp_file(self, tmp_path):
+        path = str(tmp_path / "f.json")
+        with pytest.raises(InjectedFault):
+            atomic_write_text(path, "x" * 64,
+                              fault=FaultInjector(["atomic_write:torn"]))
+        assert len(_tmp_leftovers(tmp_path)) == 1
+        assert not os.path.exists(path)
+
+
+def _reencode_indented(directory):
+    """Rewrite a session's JSON files the way the first schema-1 writer
+    did (``indent=1``, default separators), as a session written by an
+    earlier build would be on disk."""
+    directory = str(directory)
+    corpus = os.path.join(directory, "corpus")
+    paths = [os.path.join(directory, Session.MANIFEST),
+             os.path.join(directory, Session.CHECKPOINT)]
+    paths += [os.path.join(corpus, name) for name in os.listdir(corpus)]
+    for path in paths:
+        with open(path) as handle:
+            doc = json.load(handle)
+        with open(path, "w") as handle:
+            handle.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    records, _ = read_journal(os.path.join(directory, Session.JOURNAL))
+    with open(os.path.join(directory, Session.JOURNAL), "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+class TestCheckpointEncoding:
+    def test_checkpoint_is_compact_and_key_sorted(self, tmp_path):
+        session, result = run_session(tmp_path)
+        with open(session.checkpoint_path) as handle:
+            text = handle.read()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_indented_session_from_earlier_build_resumes(self, tmp_path):
+        _, golden = run_session(tmp_path / "golden")
+        fault = FaultInjector(["journal_append:crash:2"])
+        chaos = open_session(tmp_path / "chaos", fault=fault)
+        with pytest.raises(InjectedFault):
+            run_fuzz_session("pmring", small_config(), (7, 13), chaos)
+        _reencode_indented(tmp_path / "chaos")
+        with open(chaos.checkpoint_path) as handle:
+            assert handle.read().startswith("{\n ")
+        resumed = open_session(tmp_path / "chaos", resume=True)
+        assert resumed.done_units() == {0}
+        result, interrupted = run_fuzz_session(
+            "pmring", small_config(), (7, 13), resumed)
+        assert interrupted is None
+        assert result_fingerprint(result) == result_fingerprint(golden)
+
+    def test_images_and_corpus_mirror_written_once(self, tmp_path,
+                                                    monkeypatch):
+        """Across N unit checkpoints each image file and each corpus
+        mirror file is written once and stat'd once."""
+        writes, stats = Counter(), Counter()
+        real_write, real_exists = atomic_write_text, os.path.exists
+
+        def counting_write(path, *args, **kwargs):
+            writes[path] += 1
+            return real_write(path, *args, **kwargs)
+
+        def counting_exists(path):
+            stats[path] += 1
+            return real_exists(path)
+
+        monkeypatch.setattr(session_module, "atomic_write_text",
+                            counting_write)
+        monkeypatch.setattr(os.path, "exists", counting_exists)
+        seeds = (7, 13, 21, 42)
+        session, result = run_session(tmp_path, seeds=seeds)
+        monkeypatch.undo()
+
+        def under(name, counter):
+            root = os.path.join(str(tmp_path), name) + os.sep
+            return {path: n for path, n in counter.items()
+                    if path.startswith(root)}
+
+        assert writes[session.checkpoint_path] == len(seeds) + 1
+        for name in ("images", "corpus"):
+            written = under(name, writes)
+            assert written, name
+            assert set(written.values()) == {1}, name
+            assert set(under(name, stats).values()) == {1}, name
+            on_disk = os.listdir(os.path.join(str(tmp_path), name))
+            assert len(on_disk) == len(written)
+
+    def test_verdict_upgrade_reaches_next_checkpoint(self, tmp_path):
+        session, result = run_session(tmp_path)
+        record = result.inconsistencies[0]
+        key = json.loads(json.dumps(list(record.dedup_key())))
+
+        def checkpointed_verdict():
+            with open(session.checkpoint_path) as handle:
+                doc = json.load(handle)
+            pending = [entry["key"] for entry in doc["pending_validation"]]
+            for rdoc in doc["inconsistencies"]:
+                restored = session_module.record_from_doc(rdoc,
+                                                          session.images)
+                if json.loads(json.dumps(list(restored.dedup_key()))) \
+                        == key:
+                    return rdoc["verdict"], key in pending
+            raise AssertionError("record missing from checkpoint")
+
+        record.verdict = Verdict.PENDING
+        assert session.write_checkpoint(result, {0, 1})
+        assert checkpointed_verdict() == ("pending", True)
+        record.verdict = Verdict.BUG
+        assert session.write_checkpoint(result, {0, 1})
+        assert checkpointed_verdict() == ("bug", False)

@@ -9,9 +9,13 @@ which must be either a bug or an intentional change that re-pins these
 numbers.
 """
 
+import os
 from collections import Counter
 
+import pytest
+
 from repro.core.engine import PMRaceConfig, fuzz_target
+from repro.core.session import result_fingerprint
 from repro.detect.records import Verdict
 
 from ..core.toy_target import COUNTER, LOCK, MIRROR, SHADOW, ToyTarget
@@ -90,3 +94,18 @@ class TestGoldenRun:
                 for r in other.inconsistencies] \
             == [(r.kind, r.side_effect_addr, r.verdict)
                 for r in self.result.inconsistencies]
+
+    @pytest.mark.parametrize("fallback", ["missing", "refused"])
+    def test_fingerprint_without_sched_batch(self, monkeypatch, fallback):
+        """Simulated threads run under SCHED_BATCH where the host allows
+        it; where the call is missing or refused the run must not change
+        by one verdict."""
+        if fallback == "missing":
+            monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        else:
+            def refuse(*_args):
+                raise PermissionError(1, "refused")
+            monkeypatch.setattr(os, "sched_setscheduler", refuse,
+                                raising=False)
+        assert result_fingerprint(golden_run()) == \
+            result_fingerprint(self.result)

@@ -110,6 +110,17 @@ def test_save_is_atomic_and_leaves_no_tmp(tmp_path):
                 if ".tmp." in name]
 
 
+def test_save_fsyncs_directory_and_stays_readable(tmp_path, monkeypatch):
+    from repro.core import session as session_module
+    dirs = []
+    monkeypatch.setattr(session_module, "fsync_dir", dirs.append)
+    path = str(tmp_path / "b.json")
+    ReproBundle(minimal_bundle_data()).save(path)
+    assert dirs == [str(tmp_path)]
+    with open(path) as handle:
+        assert handle.read().startswith('{\n  "base_seed": 7,')
+
+
 def test_truncated_bundle_file_reports_truncation(tmp_path):
     """A bundle cut off mid-document (pre-atomic-save artifact, or a
     torn copy) gets the 'truncated' diagnosis, not a raw JSON error."""

@@ -1,5 +1,8 @@
 """Scheduler tests: determinism, hang detection, budgets, errors."""
 
+import os
+import threading
+
 import pytest
 
 from repro.runtime import (
@@ -210,3 +213,49 @@ class TestDelaySleeping:
         assert scheduler.run().ok
         # runner makes progress while the sleeper is parked
         assert order.index("s-end") > order.index("r")
+
+
+def _batch_policy_allowed():
+    """Whether this host lets a thread switch itself to SCHED_BATCH."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return False
+    allowed = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            allowed.append(True)
+        except OSError:
+            pass
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return bool(allowed)
+
+
+@pytest.mark.skipif(not _batch_policy_allowed(),
+                    reason="SCHED_BATCH unavailable or refused here")
+class TestBatchPolicy:
+    def test_campaign_threads_run_batch_main_untouched(self, monkeypatch):
+        """Every yield of a real campaign happens on a SCHED_BATCH
+        thread; the main thread keeps its policy."""
+        from repro.core.engine import PMRaceConfig, fuzz_target
+
+        from ..core.toy_target import ToyTarget
+
+        policies = []
+        real_yield = Scheduler.yield_point
+
+        def recording_yield(self, kind="op", reason=None):
+            if self.current() is not None:
+                policies.append(os.sched_getscheduler(0))
+            return real_yield(self, kind, reason)
+
+        monkeypatch.setattr(Scheduler, "yield_point", recording_yield)
+        before = os.sched_getscheduler(0)
+        fuzz_target(ToyTarget(), PMRaceConfig(max_campaigns=2), seeds=(7,))
+        assert policies
+        assert set(policies) == {os.SCHED_BATCH}
+        assert os.sched_getscheduler(0) == before
+
