@@ -15,7 +15,7 @@ The same run shows the checker's records and the post-failure verdict.
 """
 
 from repro import PMRaceConfig, Verdict, make_target
-from repro.core import SharedAccessEntry, run_campaign
+from repro.core import AccessProfiler, SharedAccessEntry, run_campaign
 from repro.detect import PostFailureValidator, Whitelist
 from repro.instrument.callsite import CallSiteTable
 from repro.runtime import SeededRandomPolicy
@@ -40,10 +40,12 @@ def main():
     table = CallSiteTable()
 
     # profiling pass: discover the shared sibling-pointer access sites
-    profile = run_campaign(target, state, [filler + splitter, chaser],
-                           SeededRandomPolicy(1), callsites=table)
+    profiler = AccessProfiler()
+    run_campaign(target, state, [filler + splitter, chaser],
+                 SeededRandomPolicy(1), callsites=table,
+                 extra_observers=[profiler])
     sibling_groups = [
-        (addr, info) for addr, info in profile.profiler.profile.items()
+        (addr, info) for addr, info in profiler.profile.items()
         if all("_split_leaf" in table.name(site) for site in info["stores"])
         and any("_move_right" in table.name(site) for site in info["loads"])
     ]

@@ -2,30 +2,29 @@
 
 A campaign wires a target instance, a seed's per-thread operation lists,
 the active scheduling policy, and (optionally) a sync-point controller
-into one deterministic run, and collects everything the engine needs as
-feedback: coverage, the shared-access profile, and detected
+into one deterministic run, and returns its outcome and the detected
 inconsistencies.
+
+Fuzzing feedback is the caller's business: the engine and the corpus
+probe pass their coverage collectors and access profiler through
+``extra_observers`` and read them back, so a replay (``repro replay``,
+``repro shrink`` and every shrink candidate) runs with the checker
+alone.
 """
 
 from ..detect.checkers import InconsistencyChecker
 from ..instrument.context import InstrumentationContext
 from ..instrument.hooks import PmView
 from ..runtime.scheduler import Scheduler
-from .coverage import AliasCoverageCollector, BranchCoverageCollector
-from .priority import AccessProfiler
 from .syncpoints import SyncPointController
 
 
 class CampaignResult:
     """Everything observed during one campaign."""
 
-    def __init__(self, outcome, checker, branch_edges, alias_pairs,
-                 profiler, controller, op_errors):
+    def __init__(self, outcome, checker, controller, op_errors):
         self.outcome = outcome
         self.checker = checker
-        self.branch_edges = branch_edges
-        self.alias_pairs = alias_pairs
-        self.profiler = profiler
         self.controller = controller
         self.op_errors = op_errors
 
@@ -62,6 +61,8 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
         rng: RNG for privileged-thread selection.
         initial_skips: Carried-over cond_wait skip counts (Pitfall 3).
         writer_waiting: Writer stall length after cond_signal.
+        extra_observers: Observers registered after the checker, in
+            order (the engine's coverage collectors and profiler).
         metrics: Optional :class:`~repro.obs.metrics.Metrics` registry
             wired into the PM access hooks and the scheduler.
         callsites: The run-wide :class:`~repro.instrument.callsite.
@@ -82,9 +83,6 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     checker = ctx.add_observer(InconsistencyChecker(
         state.pool, snapshot_images=snapshot_images, callsites=ctx.callsites,
         evict_fraction=evict_fraction, evict_rng=evict_rng))
-    branch = ctx.add_observer(BranchCoverageCollector())
-    alias = ctx.add_observer(AliasCoverageCollector())
-    profiler = ctx.add_observer(AccessProfiler())
     for observer in extra_observers:
         ctx.add_observer(observer)
     scheduler = (scheduler_factory or Scheduler)(
@@ -111,5 +109,4 @@ def run_campaign(target, state, seed_threads, policy, entry=None, rng=None,
     for tid, ops in enumerate(seed_threads):
         scheduler.spawn(make_worker(ops), "worker-%d" % tid)
     outcome = scheduler.run()
-    return CampaignResult(outcome, checker, branch.edges, alias.pairs,
-                          profiler, controller, op_errors[0])
+    return CampaignResult(outcome, checker, controller, op_errors[0])

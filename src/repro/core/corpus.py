@@ -445,14 +445,17 @@ def measure_seed_coverage(target, seed, base_seed=0):
     from ..runtime.policies import SeededRandomPolicy
     from .campaign import run_campaign
     from .checkpoints import make_state_provider
+    from .coverage import AliasCoverageCollector, BranchCoverageCollector
     from .seeding import policy_seed
     provider = make_state_provider(target)
-    campaign = run_campaign(target, provider.provide(), seed.threads,
-                            SeededRandomPolicy(policy_seed(base_seed, 0)),
-                            taint_enabled=False, snapshot_images=False,
-                            capture_stacks=False,
-                            callsites=CallSiteTable())
-    return set(campaign.branch_edges), set(campaign.alias_pairs)
+    branch = BranchCoverageCollector()
+    alias = AliasCoverageCollector()
+    run_campaign(target, provider.provide(), seed.threads,
+                 SeededRandomPolicy(policy_seed(base_seed, 0)),
+                 taint_enabled=False, snapshot_images=False,
+                 capture_stacks=False, callsites=CallSiteTable(),
+                 extra_observers=(branch, alias))
+    return set(branch.edges), set(alias.pairs)
 
 
 def minimize_by_coverage(corpus, target, base_seed=0):

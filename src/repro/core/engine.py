@@ -30,9 +30,13 @@ from ..runtime.policies import DelayInjectionPolicy, SeededRandomPolicy
 from .campaign import run_campaign
 from .checkpoints import make_state_provider
 from .corpus import Corpus
-from .coverage import CoverageSet
+from .coverage import (
+    AliasCoverageCollector,
+    BranchCoverageCollector,
+    CoverageSet,
+)
 from .inputgen import OperationMutator
-from .priority import SharedAccessQueue
+from .priority import AccessProfiler, SharedAccessQueue
 from .seeding import policy_seed
 
 
@@ -543,6 +547,9 @@ class PMRace:
                         policy = RecordingPolicy(policy)
                         priv_rng.begin_segment()
                         evict_rng.begin_segment()
+                    branch = BranchCoverageCollector()
+                    alias = AliasCoverageCollector()
+                    access = AccessProfiler()
                     campaign_kwargs = dict(
                         entry=entry, rng=priv_rng,
                         initial_skips=dict(seed_skips),
@@ -554,7 +561,8 @@ class PMRace:
                         spin_hang_limit=cfg.spin_hang_limit,
                         metrics=self.metrics, callsites=callsites,
                         evict_fraction=cfg.evict_fraction,
-                        evict_rng=evict_rng)
+                        evict_rng=evict_rng,
+                        extra_observers=(branch, alias, access))
                     if profiler is None:
                         campaign = run_campaign(self.target, state,
                                                 seed.threads, policy,
@@ -584,14 +592,14 @@ class PMRace:
                                        callsites, first_key=first_key)
                     if campaign.outcome.status == "error":
                         raise campaign.outcome.error
-                    new_branch = branch_cov.merge(campaign.branch_edges)
-                    new_alias = alias_cov.merge(campaign.alias_pairs)
+                    new_branch = branch_cov.merge(branch.edges)
+                    new_alias = alias_cov.merge(alias.pairs)
                     seed_branch += new_branch
                     seed_alias += new_alias
                     result.coverage_timeline.append(
                         (result.campaigns, elapsed, len(branch_cov),
                          len(alias_cov)))
-                    queue.update_from(campaign.profiler)
+                    queue.update_from(access)
                     if campaign.controller is not None:
                         for instr, skip in \
                                 campaign.controller.updated_skips.items():

@@ -67,8 +67,10 @@ class InconsistencyChecker(Observer):
         return instr_id
 
     def _stack_names(self, stack):
+        # Hook events carry the caller's live frame; the stack is walked
+        # and interned here, only for a new candidate or record.
         if self.callsites is not None and stack:
-            return self.callsites.names(stack)
+            return self.callsites.stack_names(stack)
         return stack
 
     # ------------------------------------------------------------------

@@ -8,6 +8,8 @@ out structures. The checker flags stores to registered addresses and the
 post-failure validator compares the recovered value against ``init_val``.
 """
 
+from bisect import bisect_left
+
 
 class SyncVarAnnotation:
     """One annotated synchronization-variable type.
@@ -39,6 +41,9 @@ class AnnotationRegistry:
     def __init__(self):
         self._types = {}
         self._by_addr = {}
+        #: Sorted registered addresses, rebuilt on the first lookup
+        #: after a (un)registration; None while stale.
+        self._starts = None
 
     def pm_sync_var_hint(self, name, size, init_val):
         """Declare a synchronization-variable type; idempotent by name."""
@@ -53,18 +58,30 @@ class AnnotationRegistry:
         annotation = self._types[name]
         annotation.addrs.add(addr)
         self._by_addr[addr] = annotation
+        self._starts = None
 
     def unregister_instance(self, addr):
         annotation = self._by_addr.pop(addr, None)
         if annotation is not None:
             annotation.addrs.discard(addr)
+            self._starts = None
 
     def lookup(self, addr, size):
-        """The annotation covering any address in ``[addr, addr+size)``."""
-        for offset in range(addr, addr + max(size, 1)):
-            annotation = self._by_addr.get(offset)
-            if annotation is not None:
-                return annotation
+        """The annotation of the lowest registered address in
+        ``[addr, addr+size)``, or None.
+
+        Runs on every instrumented store: one bisection over the sorted
+        registered addresses instead of a dict probe per byte.
+        """
+        by_addr = self._by_addr
+        if not by_addr:
+            return None
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = sorted(by_addr)
+        index = bisect_left(starts, addr)
+        if index < len(starts) and starts[index] < addr + max(size, 1):
+            return by_addr[starts[index]]
         return None
 
     def types(self):

@@ -18,6 +18,12 @@ Two representations exist:
   dedup keys, whitelist entries, and reports look exactly like before
   (and stay comparable across runs and parallel workers).
 
+Stacks are interned lazily: a hook keeps its caller's frame and
+:meth:`CallSiteTable.stack_names` walks it only when a checker creates
+a candidate or record, so a table lists the call sites of every access
+plus the stack frames of new findings — not every frame of every
+interesting access.
+
 Ids are canonicalized through the string: two code objects that format to
 the same ``module:function:line`` share one id, keeping id↔string a
 bijection (coverage counts cannot drift from string-keyed behaviour).
@@ -28,6 +34,7 @@ strings.
 """
 
 import sys
+from types import FrameType
 
 _INTERNAL_PREFIXES = (
     "repro.instrument",
@@ -109,8 +116,12 @@ class CallSiteTable:
 
     def intern_stack(self, skip=2, limit=16):
         """Interned call-site ids from innermost outwards, as a tuple."""
+        return self.intern_frames(sys._getframe(skip), limit)
+
+    def intern_frames(self, frame, limit=16):
+        """Interned ids of ``frame`` and its callers, innermost first,
+        instrumentation frames skipped; at most ``limit`` ids."""
         frames = []
-        frame = sys._getframe(skip)
         code_internal = self._code_internal
         while frame is not None and len(frames) < limit:
             code = frame.f_code
@@ -143,6 +154,17 @@ class CallSiteTable:
         """Resolve a sequence of ids; returns a tuple of strings."""
         name = self.name
         return tuple(name(site_id) for site_id in site_ids)
+
+    def stack_names(self, stack):
+        """Resolve an event's stack to strings.
+
+        ``stack`` is either the live frame a hook kept (walked and
+        interned now, while the hook is still running, so every frame
+        still sits on the line it called from) or a sequence of ids.
+        """
+        if isinstance(stack, FrameType):
+            stack = self.intern_frames(stack)
+        return self.names(stack)
 
     def snapshot(self):
         """The full string table, index == interned id (repro bundles)."""

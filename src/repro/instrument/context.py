@@ -10,7 +10,12 @@ multi-hop flows (store tainted → load → store elsewhere) are tracked.
 
 from ..pmem.cacheline import words_of
 from .callsite import CallSiteTable
+from .events import Observer
 from .taint import EMPTY
+
+#: Observer callbacks, one dispatch tuple each.
+_CALLBACKS = ("on_load", "on_store", "on_flush", "on_fence",
+              "on_annotated_store")
 
 
 class InstrumentationContext:
@@ -39,26 +44,38 @@ class InstrumentationContext:
         self.metrics = metrics
         self.callsites = callsites if callsites is not None \
             else CallSiteTable()
-        self.observers = []
+        # Per-kind tuples of bound callbacks; an observer that keeps
+        # :class:`Observer`'s no-op for a kind is left out of that kind.
+        self._on_load = self._on_store = self._on_flush = ()
+        self._on_fence = self._on_annotated_store = ()
         #: Sync-point controller (duck-typed: before_load / after_store).
         self.controller = None
         #: word offset -> frozenset of labels carried by the stored value.
         self._shadow = {}
 
     def add_observer(self, observer):
+        """Register ``observer``; returns it.
+
+        Callbacks are bound once, here, and dispatched in registration
+        order. A callback the observer does not define, or inherits as
+        :class:`Observer`'s no-op, is never called.
+        """
         # Observers that resolve interned instruction ids expose a
         # ``callsites`` attribute; wire them to this context's table
         # unless they were constructed with one explicitly.
         if getattr(observer, "callsites", False) is None:
             observer.callsites = self.callsites
-        self.observers.append(observer)
+        for name in _CALLBACKS:
+            callback = getattr(observer, name, None)
+            if callback is None or getattr(callback, "__func__", None) \
+                    is getattr(Observer, name):
+                continue
+            attr = "_" + name
+            setattr(self, attr, getattr(self, attr) + (callback,))
         return observer
 
     # ------------------------------------------------------------------
     # shadow taint
-
-    def _words(self, addr, size):
-        return words_of(addr, max(size, 1))
 
     def shadow_store(self, addr, size, labels):
         if not self.taint_enabled:
@@ -90,25 +107,25 @@ class InstrumentationContext:
     def dispatch_load(self, event):
         """Fan a load event out; returns labels minted by the checkers."""
         labels = EMPTY
-        for observer in self.observers:
-            minted = observer.on_load(event)
+        for on_load in self._on_load:
+            minted = on_load(event)
             if minted:
                 labels = labels | minted
         return labels
 
     def dispatch_store(self, event):
-        for observer in self.observers:
-            observer.on_store(event)
-        if self.annotations is not None:
+        for on_store in self._on_store:
+            on_store(event)
+        if self.annotations is not None and self._on_annotated_store:
             annotation = self.annotations.lookup(event.addr, event.size)
             if annotation is not None:
-                for observer in self.observers:
-                    observer.on_annotated_store(annotation, event)
+                for on_annotated_store in self._on_annotated_store:
+                    on_annotated_store(annotation, event)
 
     def dispatch_flush(self, event):
-        for observer in self.observers:
-            observer.on_flush(event)
+        for on_flush in self._on_flush:
+            on_flush(event)
 
     def dispatch_fence(self, event):
-        for observer in self.observers:
-            observer.on_fence(event)
+        for on_fence in self._on_fence:
+            on_fence(event)

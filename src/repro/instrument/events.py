@@ -18,8 +18,12 @@ class PmAccessEvent:
             ``ctx.callsites.name(event.instr_id)``); hand-built events in
             tests may carry strings directly — detection-boundary code
             resolves both transparently.
-        stack: Call-site stack (innermost first; interned ids from
-            instrumented accesses).
+        stack: Call-site stack. Instrumented accesses set the caller's
+            live frame while the observers run (resolve it with
+            ``ctx.callsites.stack_names(event.stack)``) and ``()``
+            afterwards, or when the access is not interesting (a load
+            with no non-persisted writer, an untainted store);
+            hand-built events may carry a sequence of ids or strings.
         nonpersisted: StoreRecords of non-persisted writers overlapping a
             load's range (loads only).
         taint: Label set flowing into a store (content ∪ address flow).

@@ -17,16 +17,30 @@ Instruction ids on events are *interned ints* from the context's
 attribution in the memory substrate receives the resolved string (one
 list index here) so scans and reports keep their ``module:function:line``
 form without per-event resolution downstream.
+
+Stacks are lazy. A load that overlaps non-persisted stores, or a
+tainted store, only keeps its caller's frame on ``event.stack``; the
+checker walks and interns it (:meth:`~repro.instrument.callsite.
+CallSiteTable.stack_names`) when the event creates a new candidate or
+record, which is rare next to the accesses that only repeat one. The
+frame is dropped as soon as the observers have seen the event, so an
+event an observer keeps holds no frame once the hook returns.
 """
 
 import struct
+import sys
 
 from ..pmem.cacheline import CACHE_LINE_SIZE, align_down
 from .events import PmAccessEvent
-from .taint import EMPTY, merge_taints, taint_of, with_taint
+from .taint import taint_of, with_taint
 
 _U64 = struct.Struct("<Q")
 _U64_MASK = (1 << 64) - 1
+_unpack_u64 = _U64.unpack
+
+
+def _decode_u64(raw):
+    return _unpack_u64(raw)[0]
 
 
 class PmView:
@@ -60,52 +74,38 @@ class PmView:
             self._m_flushes = self._m_fences = None
 
     # ------------------------------------------------------------------
-    # plumbing
-
-    def _thread(self):
-        if self.scheduler is None:
-            return None
-        return self.scheduler.current()
-
-    def _yield(self):
-        if self.scheduler is not None:
-            self.scheduler.yield_point("op")
-
-    def _stack(self, interesting):
-        if interesting and self.ctx.capture_stacks:
-            return self._sites.intern_stack(skip=3)
-        return ()
-
-    # ------------------------------------------------------------------
     # loads
 
     def _load(self, addr, size, decode):
         if self._m_loads is not None:
             self._m_loads.inc()
+        ctx = self.ctx
+        scheduler = self.scheduler
         addr_int = int(addr)
         instr = self._sites.intern_caller(skip=3)
-        thread = self._thread()
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.before_load(addr_int, instr, thread)
-        self._yield()
+        thread = scheduler.current() if scheduler is not None else None
+        if ctx.controller is not None and thread is not None:
+            ctx.controller.before_load(addr_int, instr, thread)
+        if scheduler is not None:
+            scheduler.yield_point("op")
         writers = self._memory.nonpersisted_writers(addr_int, size)
-        raw = self._memory.load(addr_int, size)
-        event = PmAccessEvent(
-            "load", addr_int, size, decode(raw), thread, instr,
-            self._stack(bool(writers)), writers,
-        )
-        minted = self.ctx.dispatch_load(event)
-        labels = self.ctx.shadow_load(addr_int, size)
+        value = decode(self._memory.load(addr_int, size))
+        stack = sys._getframe(1) if writers and ctx.capture_stacks else ()
+        event = PmAccessEvent("load", addr_int, size, value, thread, instr,
+                              stack, writers)
+        minted = ctx.dispatch_load(event)
+        if stack:
+            event.stack = ()
+        labels = ctx.shadow_load(addr_int, size)
         if minted:
             labels = labels | minted
-        value = decode(raw)
-        if labels and self.ctx.taint_enabled:
+        if labels and ctx.taint_enabled:
             value = with_taint(value, labels)
         return value
 
     def load_u64(self, addr):
         """Load a 64-bit word; returns a (possibly tainted) int."""
-        return self._load(addr, 8, lambda raw: _U64.unpack(raw)[0])
+        return self._load(addr, 8, _decode_u64)
 
     def load_bytes(self, addr, size):
         """Load ``size`` bytes; returns (possibly tainted) bytes."""
@@ -117,10 +117,13 @@ class PmView:
     def _store(self, addr, size, value, encoded, ntstore):
         if self._m_stores is not None:
             self._m_stores.inc()
+        ctx = self.ctx
+        scheduler = self.scheduler
         addr_int = int(addr)
         instr = self._sites.intern_caller(skip=3)
-        thread = self._thread()
-        self._yield()
+        thread = scheduler.current() if scheduler is not None else None
+        if scheduler is not None:
+            scheduler.yield_point("op")
         content_taint = taint_of(value)
         addr_taint = taint_of(addr)
         taint = content_taint | addr_taint
@@ -129,15 +132,18 @@ class PmView:
         same_value = memory.load(addr_int, size) == encoded
         memory.store(addr_int, encoded, tid, self._sites.name(instr),
                      ntstore=ntstore)
-        self.ctx.shadow_store(addr_int, size, content_taint)
+        ctx.shadow_store(addr_int, size, content_taint)
+        stack = sys._getframe(1) if taint and ctx.capture_stacks else ()
         event = PmAccessEvent(
             "ntstore" if ntstore else "store", addr_int, size, value,
-            thread, instr, self._stack(bool(taint)), (), taint, addr_taint,
+            thread, instr, stack, (), taint, addr_taint,
             same_value=same_value,
         )
-        self.ctx.dispatch_store(event)
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.after_store(addr_int, instr, thread)
+        ctx.dispatch_store(event)
+        if stack:
+            event.stack = ()
+        if ctx.controller is not None and thread is not None:
+            ctx.controller.after_store(addr_int, instr, thread)
 
     def store_u64(self, addr, value):
         """Cached 64-bit store (leaves the line dirty until flushed)."""
@@ -167,36 +173,41 @@ class PmView:
         """
         if self._m_cas is not None:
             self._m_cas.inc()
+        ctx = self.ctx
+        scheduler = self.scheduler
         addr_int = int(addr)
         instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        thread = scheduler.current() if scheduler is not None else None
+        if scheduler is not None:
+            scheduler.yield_point("op")
         memory = self._memory
         writers = memory.nonpersisted_writers(addr_int, 8)
-        old = _U64.unpack(memory.load(addr_int, 8))[0]
-        load_event = PmAccessEvent(
-            "load", addr_int, 8, old, thread, instr,
-            self._stack(bool(writers)), writers,
-        )
-        minted = self.ctx.dispatch_load(load_event)
-        labels = self.ctx.shadow_load(addr_int, 8) | minted
+        old = _decode_u64(memory.load(addr_int, 8))
+        stack = sys._getframe(1) if writers and ctx.capture_stacks else ()
+        load_event = PmAccessEvent("load", addr_int, 8, old, thread, instr,
+                                   stack, writers)
+        minted = ctx.dispatch_load(load_event)
+        if stack:
+            load_event.stack = ()
+        labels = ctx.shadow_load(addr_int, 8) | minted
         old_value = with_taint(old, labels) if labels else old
         if old != int(expected):
             return False, old_value
         content_taint = taint_of(new)
         addr_taint = taint_of(addr)
+        taint = content_taint | addr_taint
         tid = thread.tid if thread is not None else -1
         memory.store(addr_int, _U64.pack(int(new) & _U64_MASK),
                      tid, self._sites.name(instr), ntstore=False)
-        self.ctx.shadow_store(addr_int, 8, content_taint)
-        store_event = PmAccessEvent(
-            "cas", addr_int, 8, new, thread, instr,
-            self._stack(bool(content_taint | addr_taint)), (),
-            content_taint | addr_taint, addr_taint,
-        )
-        self.ctx.dispatch_store(store_event)
-        if self.ctx.controller is not None and thread is not None:
-            self.ctx.controller.after_store(addr_int, instr, thread)
+        ctx.shadow_store(addr_int, 8, content_taint)
+        stack = sys._getframe(1) if taint and ctx.capture_stacks else ()
+        store_event = PmAccessEvent("cas", addr_int, 8, new, thread, instr,
+                                    stack, (), taint, addr_taint)
+        ctx.dispatch_store(store_event)
+        if stack:
+            store_event.stack = ()
+        if ctx.controller is not None and thread is not None:
+            ctx.controller.after_store(addr_int, instr, thread)
         return True, old_value
 
     # ------------------------------------------------------------------
@@ -205,10 +216,12 @@ class PmView:
     def clwb(self, addr):
         if self._m_flushes is not None:
             self._m_flushes.inc()
+        scheduler = self.scheduler
         addr_int = int(addr)
         instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        thread = scheduler.current() if scheduler is not None else None
+        if scheduler is not None:
+            scheduler.yield_point("op")
         tid = thread.tid if thread is not None else -1
         self._memory.clwb(addr_int, tid)
         self.ctx.dispatch_flush(PmAccessEvent(
@@ -217,9 +230,11 @@ class PmView:
     def sfence(self):
         if self._m_fences is not None:
             self._m_fences.inc()
+        scheduler = self.scheduler
         instr = self._sites.intern_caller()
-        thread = self._thread()
-        self._yield()
+        thread = scheduler.current() if scheduler is not None else None
+        if scheduler is not None:
+            scheduler.yield_point("op")
         tid = thread.tid if thread is not None else -1
         self._memory.sfence(tid)
         self.ctx.dispatch_fence(PmAccessEvent(

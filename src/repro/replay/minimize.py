@@ -14,7 +14,15 @@ replay_campaign` and, when the original bundle carried a ``bug``
 verdict, re-validated through the *cached* validation service — the
 crash images of sibling candidates are usually dedup-equal, so the
 digest cache makes the verdict check nearly free after the first
-replay.
+replay. All candidates of one shrink share one state provider, so a
+checkpointed target is set up once and restored for every candidate.
+
+Replays are deterministic, so a candidate that failed once fails again:
+ddmin re-proposes some failed ``(ops, schedule)`` pairs after a cut, and
+those are answered from memory instead of replayed. A repeat still
+spends one test of the budget and journals its step, so ``tests``,
+``steps`` and the minimized bundle are those of a shrink that replays
+every candidate.
 
 The minimized bundle is a **fresh capture** of the last successful
 candidate: its actual decision sequence and served RNG draws are
@@ -26,7 +34,7 @@ returned.
 
 from ..detect.records import Verdict
 from ..obs.tracer import NULL_TRACER
-from .replayer import replay_bundle, replay_campaign
+from .replayer import make_bundle_provider, replay_bundle, replay_campaign
 
 #: Default replay budget for one ``repro shrink`` invocation.
 DEFAULT_BUDGET = 200
@@ -94,8 +102,26 @@ class ShrinkResult:
         }
 
 
+class _Best:
+    """What re-capturing the best reproducing candidate needs — not the
+    whole :class:`~repro.replay.replayer.ReplayRun`, whose campaign,
+    checker and crash images would otherwise stay alive."""
+
+    __slots__ = ("flat", "decisions", "priv_draws", "evict_draws",
+                 "first_key", "callsites")
+
+    def __init__(self, flat, run):
+        self.flat = list(flat)
+        self.decisions = run.decisions
+        self.priv_draws = run.priv_draws
+        self.evict_draws = run.evict_draws
+        self.first_key = run.first_key
+        self.callsites = run.callsites
+
+
 class _Shrinker:
-    """One shrink session: shared budget, validation cache, best state."""
+    """One shrink session: shared budget, state provider, validation
+    cache, failed-candidate memo and best state."""
 
     def __init__(self, bundle, budget, validation, require_bug,
                  tracer, metrics):
@@ -106,8 +132,14 @@ class _Shrinker:
         self.tracer = tracer
         self.metrics = metrics
         self.n_threads = len(bundle.ops)
+        self.provider = make_bundle_provider(bundle)
         self.result = ShrinkResult(bundle.op_count, len(bundle.schedule))
-        # Best reproducing candidate: (flat ops, schedule, ReplayRun).
+        # Every candidate is a sub-sequence of these (tid, op) pairs, and
+        # holding them keeps their ids unique for the memo keys.
+        self.pairs = _flatten(bundle.ops)
+        #: (pair ids, schedule) of every candidate that did not reproduce.
+        self.failed = set()
+        # Best reproducing candidate, a _Best.
         self.best = None
         self.exhausted = False
 
@@ -122,9 +154,23 @@ class _Shrinker:
         self.result.tests += 1
         if self.metrics is not None:
             self.metrics.counter("shrink.steps").inc()
+        key = (tuple(map(id, flat)), tuple(schedule))
+        ok = key not in self.failed and self._replay(flat, schedule)
+        if not ok:
+            self.failed.add(key)
+        self.result.steps.append({"phase": phase, "ops": len(flat),
+                                  "schedule": len(schedule),
+                                  "reproduced": ok})
+        if self.tracer.enabled:
+            self.tracer.emit("shrink_step", phase=phase, ops=len(flat),
+                             schedule=len(schedule), reproduced=ok,
+                             tests=self.result.tests)
+        return ok
+
+    def _replay(self, flat, schedule):
         run = replay_campaign(self.bundle, ops=_rebuild(flat,
                                                         self.n_threads),
-                              schedule=schedule)
+                              schedule=schedule, provider=self.provider)
         ok = run.error is None \
             and self.bundle.dedup_key in run.records
         if ok and self.require_bug:
@@ -133,14 +179,7 @@ class _Shrinker:
             self.validation.drain()
             ok = record.verdict is Verdict.BUG
         if ok:
-            self.best = (list(flat), list(schedule), run)
-        self.result.steps.append({"phase": phase, "ops": len(flat),
-                                  "schedule": len(schedule),
-                                  "reproduced": ok})
-        if self.tracer.enabled:
-            self.tracer.emit("shrink_step", phase=phase, ops=len(flat),
-                             schedule=len(schedule), reproduced=ok,
-                             tests=self.result.tests)
+            self.best = _Best(flat, run)
         return ok
 
     # ------------------------------------------------------------------
@@ -200,7 +239,7 @@ def shrink_bundle(bundle, budget=DEFAULT_BUDGET, validation=None,
     result = shrinker.result
 
     # Baseline: the bundle must reproduce before any cutting starts.
-    flat = _flatten(bundle.ops)
+    flat = shrinker.pairs
     schedule = list(bundle.schedule)
     if not shrinker.test(flat, schedule, "baseline"):
         if tracer.enabled:
@@ -216,22 +255,22 @@ def shrink_bundle(bundle, budget=DEFAULT_BUDGET, validation=None,
     # Phase 2: ddmin the schedule decision vector. Start from the
     # decisions the best op-phase candidate *actually* consumed — the
     # recorded vector often over-covers a shorter run.
-    schedule = list(shrinker.best[2].decisions)
+    schedule = list(shrinker.best.decisions)
     schedule = shrinker.ddmin(
         schedule, lambda candidate: shrinker.test(flat, candidate,
                                                   "schedule"))
 
     # Re-capture the winner: its journaled decisions and draws replay
     # strictly, so the minimized bundle is self-verifying.
-    best_flat, _, best_run = shrinker.best
+    best = shrinker.best
     minimized = bundle.with_updates(
-        ops=_rebuild(best_flat, shrinker.n_threads),
-        schedule=list(best_run.decisions),
-        priv_draws=list(best_run.priv_draws),
-        evict_draws=list(best_run.evict_draws),
-        first_key=list(best_run.first_key)
-        if best_run.first_key is not None else None,
-        callsites=best_run.callsites.snapshot(),
+        ops=_rebuild(best.flat, shrinker.n_threads),
+        schedule=list(best.decisions),
+        priv_draws=list(best.priv_draws),
+        evict_draws=list(best.evict_draws),
+        first_key=list(best.first_key)
+        if best.first_key is not None else None,
+        callsites=best.callsites.snapshot(),
         shrink={"original_ops": result.original_ops,
                 "original_schedule": result.original_schedule,
                 "tests": result.tests})

@@ -77,6 +77,11 @@ class ReplayRandom(random.Random):
     can be re-captured.
     """
 
+    def __new__(cls, draws=(), fallback_seed=0):
+        # Before Python 3.11, random.Random.__new__ seeds from the first
+        # positional argument, which here is the (unhashable) journal.
+        return super().__new__(cls, fallback_seed)
+
     def __init__(self, draws, fallback_seed=0):
         super().__init__(fallback_seed)
         self._draws = list(draws)

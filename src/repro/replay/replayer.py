@@ -86,8 +86,21 @@ def _reconstruct_entry(bundle, callsites):
         data["frequency"])
 
 
-def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
+def make_bundle_provider(bundle):
+    """A fresh target and state provider configured as ``bundle`` was
+    captured (checkpoints, eADR)."""
+    cfg = bundle.config
+    return make_state_provider(make_target(bundle.target),
+                               cfg.get("use_checkpoints"),
+                               eadr=cfg.get("eadr", False))
+
+
+def replay_campaign(bundle, ops=None, schedule=None, metrics=None,
+                    provider=None):
     """Run one campaign reconstructed from ``bundle``.
+
+    The campaign runs with the checker alone: coverage and the access
+    profile are fuzzing feedback that no replay reads.
 
     Args:
         bundle: The :class:`ReproBundle` to re-execute.
@@ -96,6 +109,10 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
         schedule: Override decision vector (shrink candidates); defaults
             to the bundle's.
         metrics: Optional metrics registry threaded into the campaign.
+        provider: Optional :class:`~repro.core.checkpoints.StateProvider`
+            from :func:`make_bundle_provider`, shared by the candidates
+            of one shrink so a checkpointed target restores its snapshot
+            instead of running ``setup()`` again; a fresh one otherwise.
 
     Returns:
         A :class:`ReplayRun`. Replay never raises for in-simulation
@@ -104,9 +121,9 @@ def replay_campaign(bundle, ops=None, schedule=None, metrics=None):
     """
     cfg = bundle.config
     run = ReplayRun()
-    target = make_target(bundle.target)
-    provider = make_state_provider(target, cfg.get("use_checkpoints"),
-                                   eadr=cfg.get("eadr", False))
+    if provider is None:
+        provider = make_bundle_provider(bundle)
+    target = provider.target
     state = provider.provide()
     callsites = CallSiteTable()
     entry = _reconstruct_entry(bundle, callsites)

@@ -225,9 +225,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # internals
 
-    def _live(self):
-        return self._live_threads
-
     def _check_limits_locked(self):
         if self.steps >= self.max_steps:
             self._abort_locked("budget")
@@ -286,9 +283,9 @@ class Scheduler:
 
     def some_thread_blocked(self, threshold):
         """True if any live thread spun at least ``threshold`` times."""
-        return any(t.spin_streak >= threshold for t in self._live())
+        return any(t.spin_streak >= threshold for t in self._live_threads)
 
     def all_threads_blocked(self, threshold):
         """True if every live thread spun at least ``threshold`` times."""
-        live = self._live()
+        live = self._live_threads
         return bool(live) and all(t.spin_streak >= threshold for t in live)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import run_campaign
+from repro.core import (
+    AccessProfiler,
+    AliasCoverageCollector,
+    BranchCoverageCollector,
+    run_campaign,
+)
 from repro.runtime import SeededRandomPolicy
 
 from .toy_target import ToyTarget
@@ -30,13 +35,15 @@ class TestRunCampaign:
         assert result.checker.inconsistencies
 
     def test_collects_coverage(self):
-        result = run_toy(BUMPY)
-        assert result.branch_edges
-        assert result.profiler.profile
+        branch, profiler = BranchCoverageCollector(), AccessProfiler()
+        run_toy(BUMPY, extra_observers=[branch, profiler])
+        assert branch.edges
+        assert profiler.profile
 
     def test_alias_pairs_on_contention(self):
-        result = run_toy(BUMPY, seed=3)
-        assert result.alias_pairs
+        alias = AliasCoverageCollector()
+        run_toy(BUMPY, seed=3, extra_observers=[alias])
+        assert alias.pairs
 
     def test_op_errors_counted(self):
         result = run_toy([[{"op": "nonsense", "key": 0}]])
@@ -49,11 +56,34 @@ class TestRunCampaign:
         assert names == {"toy_lock"}
 
     def test_determinism(self):
-        a = run_toy(BUMPY, seed=11)
-        b = run_toy(BUMPY, seed=11)
-        assert len(a.checker.candidates) == len(b.checker.candidates)
-        assert a.branch_edges == b.branch_edges
-        assert a.alias_pairs == b.alias_pairs
+        runs = []
+        for _ in range(2):
+            branch, alias = BranchCoverageCollector(), AliasCoverageCollector()
+            result = run_toy(BUMPY, seed=11, extra_observers=[branch, alias])
+            runs.append((len(result.checker.candidates), branch.edges,
+                         alias.pairs))
+        assert runs[0] == runs[1]
+
+    def test_attaches_only_checker_and_extras(self, monkeypatch):
+        # Coverage and the access profile are fuzzing feedback the
+        # engine passes in; a bare campaign (a replay) runs without them.
+        from repro.detect.checkers import InconsistencyChecker
+        from repro.instrument.context import InstrumentationContext
+
+        added = []
+        original = InstrumentationContext.add_observer
+
+        def spy(ctx, observer):
+            added.append(type(observer))
+            return original(ctx, observer)
+
+        monkeypatch.setattr(InstrumentationContext, "add_observer", spy)
+        run_toy(BUMPY)
+        assert added == [InconsistencyChecker]
+        del added[:]
+        alias = AliasCoverageCollector()
+        run_toy(BUMPY, extra_observers=[alias])
+        assert added == [InconsistencyChecker, AliasCoverageCollector]
 
     def test_taint_can_be_disabled(self):
         result = run_toy(BUMPY, seed=5, taint_enabled=False)

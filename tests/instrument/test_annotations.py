@@ -1,5 +1,7 @@
 """Annotation registry tests."""
 
+import random
+
 import pytest
 
 from repro.instrument import AnnotationRegistry
@@ -61,3 +63,47 @@ class TestRegistry:
         assert registry.lookup(0, 8).name == "a"
         assert registry.lookup(64, 8).init_val == 1
         assert {a.name for a in registry.types()} == {"a", "b"}
+
+
+def _byte_loop_lookup(by_addr, addr, size):
+    """The oracle: probe every byte of the range, lowest first."""
+    for offset in range(addr, addr + max(size, 1)):
+        if offset in by_addr:
+            return by_addr[offset]
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lookup_matches_byte_loop(seed):
+    """Randomized (seeded) interleavings of (un)registrations and
+    lookups, including zero-size, range-edge and empty-registry probes:
+    the bisection returns the byte loop's annotation every time."""
+    rng = random.Random(seed)
+    registry = AnnotationRegistry()
+    names = ["a", "b", "c"]
+    for index, name in enumerate(names):
+        registry.pm_sync_var_hint(name, 8, index)
+    model = {}
+    space = rng.choice([64, 256, 1024])
+    for _ in range(600):
+        action = rng.random()
+        if action < 0.15:
+            addr = rng.randrange(space)
+            name = rng.choice(names)
+            registry.register_instance(name, addr)
+            model[addr] = name
+        elif action < 0.22 and model:
+            addr = rng.choice(sorted(model))
+            registry.unregister_instance(addr)
+            del model[addr]
+        elif action < 0.25:
+            addr = rng.randrange(space)
+            registry.unregister_instance(addr)
+            model.pop(addr, None)
+        else:
+            addr = rng.randrange(-8, space + 8)
+            size = rng.choice([0, 1, 2, 7, 8, 16, 64, rng.randrange(200)])
+            expected = _byte_loop_lookup(model, addr, size)
+            found = registry.lookup(addr, size)
+            assert (found.name if found else None) == expected, \
+                (addr, size)

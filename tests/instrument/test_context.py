@@ -109,3 +109,52 @@ class TestDispatch:
         ctx.dispatch_flush(self.make_event("clwb"))
         ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
         assert kinds == ["flush", "fence"]
+
+
+class TestCallbackTables:
+    def test_noop_callbacks_are_not_dispatched(self, monkeypatch):
+        calls = []
+
+        class LoadsOnly(Observer):
+            def on_load(self, event):
+                calls.append("load")
+
+        # Make Observer's own no-op methods visible: none may run for an
+        # observer that does not override them.
+        for name in ("on_store", "on_flush", "on_fence",
+                     "on_annotated_store"):
+            monkeypatch.setattr(
+                Observer, name,
+                lambda self, *args, _name=name: calls.append(_name))
+        from repro.instrument import AnnotationRegistry
+        registry = AnnotationRegistry()
+        registry.pm_sync_var_hint("lock", 8, 0)
+        registry.register_instance("lock", 64)
+        ctx = InstrumentationContext(annotations=registry)
+        ctx.add_observer(LoadsOnly())
+        ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1))
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1))
+        ctx.dispatch_flush(PmAccessEvent("clwb", 64, 0))
+        ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
+        assert calls == ["load"]
+
+    def test_duck_typed_observer_and_registration_order(self):
+        seen = []
+
+        class Duck:
+            def __init__(self, name):
+                self.name = name
+
+            def on_load(self, event):
+                seen.append(self.name)
+
+            def on_store(self, event):
+                seen.append(self.name + "-store")
+
+        ctx = InstrumentationContext()
+        ctx.add_observer(Duck("first"))
+        ctx.add_observer(Duck("second"))
+        ctx.dispatch_load(PmAccessEvent("load", 64, 8, 1))
+        ctx.dispatch_store(PmAccessEvent("store", 64, 8, 1))
+        ctx.dispatch_fence(PmAccessEvent("sfence", None, 0))
+        assert seen == ["first", "second", "first-store", "second-store"]

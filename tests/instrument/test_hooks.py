@@ -214,3 +214,117 @@ class TestTaintFlow:
         view.ntstore_u64(128, value + 1)
         assert checker.candidates          # candidates still found
         assert not checker.inconsistencies  # but no flow confirmation
+
+
+class _StackProbe(Observer):
+    """Resolves each interesting event's lazy stack next to an eager
+    walk taken at the same instant, and keeps the event."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.events = []
+        self.pairs = []
+
+    def _probe(self, event):
+        self.events.append(event)
+        if event.stack:
+            table = self.ctx.callsites
+            # skip=2 starts at the dispatcher; it and the hook frames
+            # below it are instrumentation frames the walk skips, so this
+            # is the eager stack the hook itself would have interned.
+            eager = table.names(table.intern_stack(skip=2))
+            self.pairs.append((event.kind, eager,
+                               table.stack_names(event.stack)))
+
+    on_load = _probe
+    on_store = _probe
+
+
+class TestLazyStacks:
+    def make(self, probe=True):
+        pool = PmemPool("lazy", 8192)
+        ctx = InstrumentationContext()
+        checker = ctx.add_observer(InconsistencyChecker(pool))
+        if probe:
+            probe = ctx.add_observer(_StackProbe(ctx))
+        return pool, ctx, checker, probe, PmView(pool, None, ctx)
+
+    def test_lazy_stack_names_match_eager_walk(self):
+        _pool, _ctx, checker, probe, view = self.make()
+
+        def reader():
+            value = view.load_u64(64)
+            ok, _old = view.cas_u64(64, 42, 43)
+            return value, ok
+
+        def writer(value):
+            view.ntstore_u64(128, value + 1)
+            view.cas_u64(192, 0, value)
+
+        def outer():
+            view.store_u64(64, 42)
+            value, ok = reader()
+            writer(value)
+            return ok
+
+        assert outer()
+        kinds = [kind for kind, _eager, _lazy in probe.pairs]
+        assert kinds == ["load", "load", "ntstore", "cas"]
+        for _kind, eager, lazy in probe.pairs:
+            assert lazy == eager
+            assert "reader" in lazy[0] or "writer" in lazy[0]
+            assert "outer" in lazy[1]
+        # The checker stored the same names on its candidate and record.
+        assert checker.candidates[0].stack == probe.pairs[0][2]
+        assert checker.inconsistencies[0].stack == probe.pairs[2][2]
+
+    def test_no_frame_outlives_the_hook(self):
+        import gc
+        import types
+        import weakref
+
+        _pool, _ctx, _checker, probe, view = self.make()
+
+        class Sentinel:
+            pass
+
+        def caller():
+            sentinel = Sentinel()
+            view.store_u64(64, 42)
+            value = view.load_u64(64)
+            view.ntstore_u64(128, value)
+            return weakref.ref(sentinel)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = caller()
+            # The probe still holds every event: none may pin the
+            # caller's frame (and with it the frame's locals).
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert probe.pairs
+        assert not any(isinstance(event.stack, types.FrameType)
+                       for event in probe.events)
+
+    def test_stack_interned_only_for_new_records(self):
+        # No probe: its eager walks would intern the frames too.
+        _pool, ctx, checker, _probe, view = self.make(probe=False)
+
+        def deep(depth):
+            if depth:
+                return deep(depth - 1)
+            return view.load_u64(64)
+
+        view.store_u64(64, 42)
+        deep(3)
+        assert len(checker.candidates) == 1
+        before = len(ctx.callsites)
+        for _ in range(5):
+            deep(6)  # dirty reads repeating the candidate, deeper stack
+        assert len(checker.candidates) == 1
+        # Only the new call sites of the loads were interned, not the
+        # stack frames of every interesting access.
+        assert len(ctx.callsites) == before

@@ -12,10 +12,14 @@ or the bundle format) requires re-running this script:
 
 The script fuzzes memcached with the pinned seed, takes the first
 confirmed bug, ddmin-shrinks it (small file, strict replay), verifies
-the result replays cleanly, and rewrites the golden file. Commit the
-updated JSON together with the change that moved it.
+the result replays cleanly, and rewrites the golden file. It then
+shrinks the golden bundle once more at CI's budget and rewrites the
+expected minimized counts (``memcached-pmem-bug.shrink.json``) that
+CI's "Shrink the golden bundle" step compares against. Commit both
+files together with the change that moved them.
 """
 
+import json
 import os
 import sys
 
@@ -31,6 +35,9 @@ MAX_CAMPAIGNS = 30
 SHRINK_BUDGET = 150
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "tests",
                            "replay", "golden", "memcached-pmem-bug.json")
+#: The budget CI's "Shrink the golden bundle" step shrinks with.
+CHECK_BUDGET = 60
+EXPECT_PATH = GOLDEN_PATH[:-len(".json")] + ".shrink.json"
 
 
 def main():
@@ -64,6 +71,14 @@ def main():
     print("golden bundle written to %s (%d ops, %d decisions)"
           % (os.path.relpath(path), shrunk.bundle.op_count,
              len(shrunk.bundle.schedule)))
+    check = shrink_bundle(shrunk.bundle, budget=CHECK_BUDGET)
+    expected = {"budget": CHECK_BUDGET, "min_ops": check.min_ops,
+                "min_schedule": check.min_schedule}
+    with open(EXPECT_PATH, "w") as handle:
+        json.dump(expected, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("expected CI shrink written to %s: %s"
+          % (os.path.relpath(EXPECT_PATH), expected))
     return 0
 
 
